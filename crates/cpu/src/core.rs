@@ -417,6 +417,28 @@ mod tests {
     }
 
     #[test]
+    fn cores_sharing_memory_see_their_own_hit_latency() {
+        // Two stall-on-use cores at different clocks share one memory
+        // system; each must pay an L1 hit priced at its own clock, however
+        // their executions interleave.
+        let mut m = mem();
+        let addr = 0x7300_0000;
+        m.core_read(0, addr, 8); // warm the line into L1D
+        let l1d = m.config().l1d_cycles;
+        let slow_f = Frequency::ghz(1.5);
+        let fast_f = Frequency::ghz(3.7);
+        let mut slow = Core::new(CoreConfig::in_order().with_frequency(slow_f));
+        let mut fast = Core::new(CoreConfig::in_order().with_frequency(fast_f));
+        for _ in 0..2 {
+            for (core, f) in [(&mut slow, slow_f), (&mut fast, fast_f)] {
+                let done = core.execute(1_000, &[Op::DependentLoad(addr)], &mut m);
+                assert_eq!(done - 1_000, f.cycles_to_ticks(l1d));
+                assert_eq!(m.core_frequency(), f);
+            }
+        }
+    }
+
+    #[test]
     fn ooo_overlaps_independent_misses() {
         let ops = miss_addrs(6, 4096); // distinct lines, all DRAM misses
         let mut m1 = mem();

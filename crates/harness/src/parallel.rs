@@ -546,10 +546,11 @@ impl Shard {
                 );
             }
         }
-        // Execute strictly below the (possibly advanced) horizon: an
-        // event AT the horizon could still be preceded by a same-tick
-        // foreign delivery.
-        let limit = end.min(self.horizon().saturating_sub(1));
+        // Execute strictly below `h0`: an event AT it could still be
+        // preceded by a same-tick foreign delivery. Re-reading the horizon
+        // here could see a bound raised by a message pushed after the
+        // drain, and run past that message.
+        let limit = end.min(h0.saturating_sub(1));
         let mut executed = 0usize;
         let mut progressed = drained > 0;
         while executed < batch {
@@ -594,7 +595,7 @@ impl Shard {
         // clocks advance at least one min-latency per round without
         // null messages.
         let next_local = self.queue.peek_tick().unwrap_or(Tick::MAX);
-        self.clock.publish(next_local.min(self.horizon()));
+        self.clock.publish(next_local.min(h0));
         let done = drained == 0 && h0 > end && self.queue.peek_tick().is_none_or(|t| t > end);
         (progressed, done)
     }

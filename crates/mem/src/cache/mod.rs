@@ -86,13 +86,30 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Default)]
+/// One way of a set, packed so a tag scan compares a single word: an
+/// empty way holds [`Line::EMPTY`]'s tag, which is not 64-byte aligned and
+/// so never equals the line base of a real address. An empty way's age is
+/// always 0: only resident lines are touched, and emptying a way or
+/// wrapping the LRU clock zeroes its age.
+#[derive(Clone, Copy)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
     /// Higher = more recently used.
     lru: u32,
+    dirty: bool,
+}
+
+impl Line {
+    const EMPTY: Line = Line {
+        tag: u64::MAX,
+        lru: 0,
+        dirty: false,
+    };
+
+    #[inline]
+    fn is_valid(&self) -> bool {
+        self.tag != Self::EMPTY.tag
+    }
 }
 
 /// What a fill displaced.
@@ -132,6 +149,8 @@ impl Eviction {
 pub struct Cache {
     name: &'static str,
     cfg: CacheConfig,
+    /// `sets - 1`; the set count is a power of two.
+    set_mask: usize,
     sets: Vec<Line>,
     lru_clock: u32,
     stats: CacheStats,
@@ -144,7 +163,8 @@ impl Cache {
         Self {
             name,
             cfg,
-            sets: vec![Line::default(); cfg.sets() * cfg.assoc],
+            set_mask: cfg.sets() - 1,
+            sets: vec![Line::EMPTY; cfg.sets() * cfg.assoc],
             lru_clock: 0,
             stats: CacheStats::default(),
         }
@@ -170,16 +190,25 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Index of way 0 of the set holding `addr`.
     #[inline]
-    fn set_index(&self, addr: Addr) -> usize {
-        ((addr / CACHE_LINE) as usize) & (self.cfg.sets() - 1)
+    fn set_base(&self, addr: Addr) -> usize {
+        (((addr / CACHE_LINE) as usize) & self.set_mask) * self.cfg.assoc
     }
 
+    /// Index of the way holding line `tag` in the set starting at `base`.
+    /// A line is resident in at most one way, so the scan visits every way
+    /// without an early exit: the host branch predictor then sees a fixed
+    /// trip count instead of a data-dependent hit position.
     #[inline]
-    fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
-        let set = self.set_index(addr);
-        let base = set * self.cfg.assoc;
-        base..base + self.cfg.assoc
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let mut hit = usize::MAX;
+        for (way, line) in self.sets[base..base + self.cfg.assoc].iter().enumerate() {
+            if line.tag == tag {
+                hit = way;
+            }
+        }
+        (hit != usize::MAX).then(|| base + hit)
     }
 
     fn touch_lru(&mut self, idx: usize) {
@@ -198,26 +227,25 @@ impl Cache {
     /// and records a hit. On miss records a miss. Returns whether it hit.
     pub fn lookup(&mut self, addr: Addr, class: AccessClass, write: bool) -> bool {
         let tag = line_base(addr);
-        let range = self.set_range(addr);
-        for idx in range {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
+        match self.find(self.set_base(addr), tag) {
+            Some(idx) => {
                 self.touch_lru(idx);
                 if write {
                     self.sets[idx].dirty = true;
                 }
                 self.stats.record_hit(class);
-                return true;
+                true
+            }
+            None => {
+                self.stats.record_miss(class);
+                false
             }
         }
-        self.stats.record_miss(class);
-        false
     }
 
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, addr: Addr) -> bool {
-        let tag = line_base(addr);
-        self.set_range(addr)
-            .any(|idx| self.sets[idx].valid && self.sets[idx].tag == tag)
+        self.find(self.set_base(addr), line_base(addr)).is_some()
     }
 
     /// Inserts the line for `addr`, choosing a victim from the partition
@@ -226,23 +254,37 @@ impl Cache {
     /// If the line is already present this just updates LRU/dirty state.
     pub fn fill(&mut self, addr: Addr, class: AccessClass, dirty: bool) -> Eviction {
         let tag = line_base(addr);
-        let range = self.set_range(addr);
-
+        let base = self.set_base(addr);
         // Already present (e.g. raced by an earlier fill on this path).
-        for idx in range.clone() {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
-                self.touch_lru(idx);
-                if dirty {
-                    self.sets[idx].dirty = true;
-                }
-                return Eviction::None;
+        if let Some(idx) = self.find(base, tag) {
+            self.touch_lru(idx);
+            if dirty {
+                self.sets[idx].dirty = true;
             }
+            return Eviction::None;
         }
+        self.insert(base, tag, class, dirty)
+    }
 
+    /// [`Cache::fill`] for a line the caller knows is not resident (it
+    /// just missed a [`Cache::lookup`] and nothing was inserted since):
+    /// skips the presence scan. Replacement is identical to `fill`.
+    pub fn fill_absent(&mut self, addr: Addr, class: AccessClass, dirty: bool) -> Eviction {
+        let tag = line_base(addr);
+        let base = self.set_base(addr);
+        debug_assert!(
+            self.find(base, tag).is_none(),
+            "{}: fill_absent of resident line {tag:#x}",
+            self.name
+        );
+        self.insert(base, tag, class, dirty)
+    }
+
+    /// Places absent line `tag` in the set starting at `base`.
+    fn insert(&mut self, base: usize, tag: u64, class: AccessClass, dirty: bool) -> Eviction {
         // Partition: with dca_ways = d, ways [0, d) belong to DMA fills and
         // ways [d, assoc) to core fills. Unpartitioned caches use the whole
         // set for both classes.
-        let base = range.start;
         let (lo, hi) = if self.cfg.dca_ways == 0 {
             (0, self.cfg.assoc)
         } else {
@@ -252,41 +294,34 @@ impl Cache {
             }
         };
 
-        // Prefer an invalid way in the partition.
-        let mut victim = None;
-        for way in lo..hi {
-            let idx = base + way;
-            if !self.sets[idx].valid {
-                victim = Some(idx);
-                break;
+        // The first empty way in the partition, else its first LRU way: an
+        // empty way always has age 0, so ranking every way by (valid, age)
+        // and taking the first minimum picks exactly that.
+        let mut victim = base + lo;
+        let mut victim_rank = u64::MAX;
+        for idx in base + lo..base + hi {
+            let line = &self.sets[idx];
+            let rank = (u64::from(line.is_valid()) << 32) | u64::from(line.lru);
+            if rank < victim_rank {
+                victim = idx;
+                victim_rank = rank;
             }
         }
-        // Otherwise the LRU way in the partition.
-        let victim = victim.unwrap_or_else(|| {
-            (lo..hi)
-                .map(|way| base + way)
-                .min_by_key(|&idx| self.sets[idx].lru)
-                .expect("partition is non-empty")
-        });
 
-        let evicted = if self.sets[victim].valid {
-            self.stats.evictions.inc();
-            if self.sets[victim].dirty {
-                self.stats.writebacks.inc();
-                Eviction::Dirty(self.sets[victim].tag)
-            } else {
-                Eviction::Clean(self.sets[victim].tag)
-            }
-        } else {
+        let old = self.sets[victim];
+        let evicted = if !old.is_valid() {
             Eviction::None
+        } else {
+            self.stats.evictions.inc();
+            if old.dirty {
+                self.stats.writebacks.inc();
+                Eviction::Dirty(old.tag)
+            } else {
+                Eviction::Clean(old.tag)
+            }
         };
 
-        self.sets[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: 0,
-        };
+        self.sets[victim] = Line { tag, lru: 0, dirty };
         self.touch_lru(victim);
         evicted
     }
@@ -294,22 +329,16 @@ impl Cache {
     /// Removes the line for `addr` if present. Returns whether the removed
     /// line was dirty (the caller owns the writeback).
     pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let tag = line_base(addr);
-        let range = self.set_range(addr);
-        for idx in range {
-            if self.sets[idx].valid && self.sets[idx].tag == tag {
-                let dirty = self.sets[idx].dirty;
-                self.sets[idx] = Line::default();
-                self.stats.invalidations.inc();
-                return Some(dirty);
-            }
-        }
-        None
+        let idx = self.find(self.set_base(addr), line_base(addr))?;
+        let dirty = self.sets[idx].dirty;
+        self.sets[idx] = Line::EMPTY;
+        self.stats.invalidations.inc();
+        Some(dirty)
     }
 
     /// Number of currently valid lines (test/diagnostic aid).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|l| l.valid).count()
+        self.sets.iter().filter(|l| l.is_valid()).count()
     }
 
     /// Addresses of all resident lines (diagnostic aid for invariant
@@ -317,7 +346,7 @@ impl Cache {
     pub fn resident_lines(&self) -> Vec<Addr> {
         self.sets
             .iter()
-            .filter(|l| l.valid)
+            .filter(|l| l.is_valid())
             .map(|l| l.tag)
             .collect()
     }
@@ -468,6 +497,43 @@ mod tests {
             c.fill(i * CACHE_LINE, AccessClass::Core, i % 3 == 0);
         }
         assert!(c.occupancy() <= 8);
+    }
+
+    #[test]
+    fn lru_clock_wrap_resets_every_age() {
+        let mut c = tiny();
+        // Set 0: 0x000 in way 0, 0x100 in way 1; 0x100 is the more recent.
+        c.fill(0x000, AccessClass::Core, false);
+        c.fill(0x100, AccessClass::Core, false);
+        c.lru_clock = u32::MAX - 1;
+        c.lookup(0x100, AccessClass::Core, false);
+        assert_eq!(c.lru_clock, u32::MAX, "no wrap yet");
+        // The next touch wraps: every age resets to 0, the clock restarts
+        // at 1 and only the touched line (set 1) is younger than the rest.
+        c.fill(0x040, AccessClass::Core, false);
+        assert_eq!(c.lru_clock, 1);
+        let aged: Vec<u32> = c.sets.iter().map(|l| l.lru).filter(|&a| a != 0).collect();
+        assert_eq!(aged, [1]);
+        // Both ways of set 0 now tie at age 0, so the lowest-index way is
+        // the victim even though 0x100 was used more recently.
+        assert_eq!(
+            c.fill(0x200, AccessClass::Core, false),
+            Eviction::Clean(0x000)
+        );
+        assert!(c.probe(0x100));
+    }
+
+    #[test]
+    fn empty_way_encoding_is_not_a_line_base() {
+        assert_ne!(line_base(Line::EMPTY.tag), Line::EMPTY.tag);
+        let mut c = tiny();
+        let top = line_base(u64::MAX);
+        assert!(!c.lookup(top, AccessClass::Core, false));
+        assert_eq!(c.fill_absent(top, AccessClass::Core, true), Eviction::None);
+        assert!(c.probe(u64::MAX));
+        assert_eq!(c.resident_lines(), [top]);
+        assert_eq!(c.invalidate(top), Some(true));
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -151,6 +151,8 @@ pub struct DramController {
     open_rows: Vec<u64>,
     stats: DramStats,
     line_transfer: Tick,
+    /// Cache lines per DRAM row.
+    lines_per_row: u64,
 }
 
 impl DramController {
@@ -166,6 +168,7 @@ impl DramController {
             last_write: vec![false; cfg.channels],
             open_rows: vec![u64::MAX; cfg.channels * cfg.banks_per_channel],
             line_transfer: cfg.channel_bandwidth.bytes_to_ticks(CACHE_LINE),
+            lines_per_row: cfg.row_bytes / CACHE_LINE,
             stats: DramStats::default(),
             cfg,
         }
@@ -190,8 +193,7 @@ impl DramController {
         let line = line_base(addr) / CACHE_LINE;
         let channel = (line % self.cfg.channels as u64) as usize;
         let local = line / self.cfg.channels as u64;
-        let lines_per_row = self.cfg.row_bytes / CACHE_LINE;
-        let bank_row = local / lines_per_row;
+        let bank_row = local / self.lines_per_row;
         let bank = (bank_row % self.cfg.banks_per_channel as u64) as usize;
         let row = bank_row / self.cfg.banks_per_channel as u64;
         Location { channel, bank, row }

@@ -142,6 +142,23 @@ impl CoreCaches {
     }
 }
 
+/// The core-clock hit latencies, priced once per core frequency.
+struct HitTicks {
+    l1i: Tick,
+    l1d: Tick,
+    l2: Tick,
+}
+
+impl HitTicks {
+    fn new(cfg: &MemoryConfig, freq: Frequency) -> Self {
+        Self {
+            l1i: freq.cycles_to_ticks(cfg.l1i_cycles),
+            l1d: freq.cycles_to_ticks(cfg.l1d_cycles),
+            l2: freq.cycles_to_ticks(cfg.l2_cycles),
+        }
+    }
+}
+
 /// The complete memory system.
 ///
 /// ```
@@ -161,6 +178,8 @@ pub struct MemorySystem {
     cores: Vec<CoreCaches>,
     /// Which core's private caches the next `core_*` access uses.
     active: usize,
+    /// L1I, L1D and L2 hit latencies in ticks at `core_freq`.
+    hit_ticks: HitTicks,
     llc: Cache,
     dram: DramController,
     io_rx: Bus,
@@ -175,6 +194,7 @@ impl MemorySystem {
         Self {
             cores: vec![CoreCaches::new(&cfg)],
             active: 0,
+            hit_ticks: HitTicks::new(&cfg, Frequency::default()),
             llc: Cache::new("llc", cfg.llc),
             dram: DramController::new(cfg.dram),
             io_rx: Bus::new("io-rx", cfg.io_bandwidth, cfg.io_overhead),
@@ -262,6 +282,7 @@ impl MemorySystem {
     /// Sets the core clock (scales L1/L2 hit latencies).
     pub fn set_core_frequency(&mut self, freq: Frequency) {
         self.core_freq = freq;
+        self.hit_ticks = HitTicks::new(&self.cfg, freq);
     }
 
     /// The current core clock.
@@ -385,11 +406,6 @@ impl MemorySystem {
         self.io_tx.reset_stats();
     }
 
-    #[inline]
-    fn cycles(&self, n: u64) -> Tick {
-        self.core_freq.cycles_to_ticks(n)
-    }
-
     /// Core data read of `size` bytes at `addr`. Returns `(latency, level)`
     /// for the *first* line; additional straddled lines are filled but
     /// their latency overlaps (the core model prices per-line ops itself).
@@ -434,18 +450,17 @@ impl MemorySystem {
         write: bool,
         instr: bool,
     ) -> (Tick, HitLevel) {
-        let l1_cycles = if instr {
-            self.cfg.l1i_cycles
+        let l1_lat = if instr {
+            self.hit_ticks.l1i
         } else {
-            self.cfg.l1d_cycles
+            self.hit_ticks.l1d
         };
         let core = &mut self.cores[self.active];
         let l1 = if instr { &mut core.l1i } else { &mut core.l1d };
         if l1.lookup(line, AccessClass::Core, write) {
-            return (self.cycles(l1_cycles), HitLevel::L1);
+            return (l1_lat, HitLevel::L1);
         }
-        let l1_lat = self.cycles(l1_cycles);
-        let l2_lat = l1_lat + self.cycles(self.cfg.l2_cycles);
+        let l2_lat = l1_lat + self.hit_ticks.l2;
 
         if self.cores[self.active]
             .l2
@@ -471,10 +486,14 @@ impl MemorySystem {
         (dram_lat, HitLevel::Dram)
     }
 
+    // The three fills below run on the core miss path right after a lookup
+    // of the same line missed that level; in between only removals happen
+    // (back-invalidations, DRAM accesses), so the line is still absent.
+
     fn fill_l1(&mut self, line: Addr, instr: bool, dirty: bool) {
         let core = &mut self.cores[self.active];
         let l1 = if instr { &mut core.l1i } else { &mut core.l1d };
-        match l1.fill(line, AccessClass::Core, dirty) {
+        match l1.fill_absent(line, AccessClass::Core, dirty) {
             Eviction::Dirty(victim) => {
                 // Inclusive hierarchy: the victim is in L2; propagate dirt.
                 core.l2.fill(victim, AccessClass::Core, true);
@@ -486,7 +505,7 @@ impl MemorySystem {
     fn fill_l2(&mut self, line: Addr, dirty: bool) {
         match self.cores[self.active]
             .l2
-            .fill(line, AccessClass::Core, dirty)
+            .fill_absent(line, AccessClass::Core, dirty)
         {
             Eviction::Dirty(victim) => {
                 self.back_invalidate_l1(victim);
@@ -500,7 +519,7 @@ impl MemorySystem {
     }
 
     fn fill_llc_core(&mut self, now: Tick, line: Addr) {
-        match self.llc.fill(line, AccessClass::Core, false) {
+        match self.llc.fill_absent(line, AccessClass::Core, false) {
             Eviction::Dirty(victim) => {
                 self.back_invalidate_l2(victim);
                 self.dram.access_interleaved(now, victim, true);
@@ -520,15 +539,17 @@ impl MemorySystem {
         core.l1i.invalidate(line);
     }
 
-    /// Shared-LLC eviction: the victim may be cached by *any* core —
-    /// coherence kills every private copy.
+    /// Shared-LLC eviction or DMA write: the line may be cached by *any*
+    /// core — coherence kills every private copy. Each core's hierarchy is
+    /// inclusive (its L1s hold a subset of its L2), so only a core whose L2
+    /// held the line can have L1 copies to kill. A dirty private copy is
+    /// dropped: the LLC copy is evicted or overwritten with it.
     fn back_invalidate_l2(&mut self, line: Addr) {
         for core in &mut self.cores {
-            if let Some(dirty) = core.l2.invalidate(line) {
-                let _ = dirty; // the LLC copy is being evicted with it
+            if core.l2.invalidate(line).is_some() {
+                core.l1d.invalidate(line);
+                core.l1i.invalidate(line);
             }
-            core.l1d.invalidate(line);
-            core.l1i.invalidate(line);
         }
     }
 
@@ -554,11 +575,7 @@ impl MemorySystem {
         for i in 0..lines {
             let line = first + i * CACHE_LINE;
             // Coherence: stale upper-level copies die in every core.
-            for core in &mut self.cores {
-                core.l1d.invalidate(line);
-                core.l1i.invalidate(line);
-                core.l2.invalidate(line);
-            }
+            self.back_invalidate_l2(line);
             if dca {
                 match self.llc.fill(line, AccessClass::Dma, true) {
                     Eviction::Dirty(victim) => {
@@ -609,11 +626,7 @@ impl MemorySystem {
         let mut done = t_bus;
         for i in 0..lines {
             let line = first + i * CACHE_LINE;
-            for core in &mut self.cores {
-                core.l1d.invalidate(line);
-                core.l1i.invalidate(line);
-                core.l2.invalidate(line);
-            }
+            self.back_invalidate_l2(line);
             if self.cfg.dca_enabled {
                 match self.llc.fill(line, AccessClass::Dma, true) {
                     Eviction::Dirty(victim) => {
@@ -841,6 +854,51 @@ mod tests {
         let (f, _) = fast.core_read(0, 0x7000_0000, 8);
         let (s, _) = slow.core_read(0, 0x7000_0000, 8);
         assert_eq!(f * 4, s);
+    }
+
+    /// L1D, L1I and L2 hit latencies of `mem` as `(l1d, l1i, l2)`, from
+    /// a warm L1D line, a warm L1I line and a line evicted from L1D only.
+    fn hit_latencies(mem: &mut MemorySystem) -> (Tick, Tick, Tick) {
+        let data = 0x7800_0000;
+        let code = layout::WORKSET_BASE;
+        mem.core_read(0, data, 8);
+        mem.instr_fetch(0, code);
+        let (l1d, level) = mem.core_read(0, data, 8);
+        assert_eq!(level, HitLevel::L1);
+        let (l1i, level) = mem.instr_fetch(0, code);
+        assert_eq!(level, HitLevel::L1);
+        // Four more lines in the same 4-way L1D set (16 KiB apart) push
+        // `data` out of L1D; they land in different L2 sets, so it stays
+        // in L2.
+        for i in 1..=4u64 {
+            mem.core_read(0, data + i * 16 * 1024, 8);
+        }
+        let (l2, level) = mem.core_read(0, data, 8);
+        assert_eq!(level, HitLevel::L2);
+        (l1d, l1i, l2)
+    }
+
+    #[test]
+    fn hit_latencies_are_repriced_with_the_core_clock() {
+        let cfg = MemoryConfig::table1_gem5();
+        for ghz in [3.0, 1.7, 0.9, 4.2] {
+            let freq = Frequency::ghz(ghz);
+            let mut mem = system();
+            mem.set_core_frequency(Frequency::ghz(2.0));
+            mem.set_core_frequency(freq);
+            let (l1d, l1i, l2) = hit_latencies(&mut mem);
+            assert_eq!(l1d, freq.cycles_to_ticks(cfg.l1d_cycles), "{ghz} GHz");
+            assert_eq!(l1i, freq.cycles_to_ticks(cfg.l1i_cycles), "{ghz} GHz");
+            assert_eq!(
+                l2,
+                freq.cycles_to_ticks(cfg.l1d_cycles) + freq.cycles_to_ticks(cfg.l2_cycles),
+                "{ghz} GHz"
+            );
+        }
+        // The default clock prices the same way before any call.
+        let freq = Frequency::default();
+        let (l1d, _, _) = hit_latencies(&mut system());
+        assert_eq!(l1d, freq.cycles_to_ticks(cfg.l1d_cycles));
     }
 
     #[test]

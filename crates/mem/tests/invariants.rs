@@ -24,6 +24,34 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// A step of the multi-core script: core traffic on the active core, a
+/// core switch, or a descriptor writeback.
+#[derive(Debug, Clone)]
+enum MultiCoreStep {
+    Core(Step),
+    Switch(usize),
+    ControlWrite(usize),
+}
+
+fn multi_core_step_strategy() -> impl Strategy<Value = MultiCoreStep> {
+    // Narrow regions so the cores share lines: packets the NIC rewrites,
+    // a shared working set, descriptors, and one code region.
+    let mbuf = (0usize..32, 0u64..1518).prop_map(|(slot, off)| layout::mbuf_addr(slot) + off);
+    let shared = (0u64..1 << 16).prop_map(|off| layout::WORKSET_BASE + off);
+    let desc = (0usize..64).prop_map(|i| layout::rx_desc_addr(i, 64));
+    let data = prop_oneof![mbuf, shared, desc];
+    prop_oneof![
+        3 => data.prop_map(|a| MultiCoreStep::Core(Step::CoreRead(a))),
+        2 => (0u64..1 << 16).prop_map(|off| MultiCoreStep::Core(Step::CoreWrite(layout::WORKSET_BASE + off))),
+        1 => (0usize..32, 0u64..1518).prop_map(|(slot, off)| MultiCoreStep::Core(Step::CoreWrite(layout::mbuf_addr(slot) + off))),
+        1 => (0u64..1 << 14).prop_map(|off| MultiCoreStep::Core(Step::Ifetch(layout::WORKSET_BASE + (8 << 20) + off))),
+        2 => ((0usize..32), (60u16..1518)).prop_map(|(slot, len)| MultiCoreStep::Core(Step::DmaWrite(slot, len))),
+        1 => ((0usize..32), (60u16..1518)).prop_map(|(slot, len)| MultiCoreStep::Core(Step::DmaRead(slot, len))),
+        1 => (0usize..64).prop_map(MultiCoreStep::ControlWrite),
+        2 => (0usize..4).prop_map(MultiCoreStep::Switch),
+    ]
+}
+
 fn small_config() -> MemoryConfig {
     // Tiny caches so evictions and back-invalidations fire constantly.
     let mut cfg = MemoryConfig::table1_gem5();
@@ -58,6 +86,39 @@ proptest! {
             }
         }
         mem.verify_inclusion().map_err(TestCaseError::fail)?;
+    }
+
+    /// Per-core inclusion (each core's L1s within its L2, every L2 within
+    /// the LLC) survives four cores switching at random over shared data,
+    /// packet buffers and code, with bulk and control-path DMA writes
+    /// killing private copies. Coherence only scans a core's L1s when its
+    /// L2 held the line, which is sound only while this holds.
+    #[test]
+    fn hierarchy_stays_inclusive_across_cores(
+        steps in prop::collection::vec(multi_core_step_strategy(), 1..400),
+    ) {
+        let mut mem = MemorySystem::new(small_config());
+        mem.set_num_cores(4);
+        let mut now = 0u64;
+        for step in &steps {
+            now += 10_000;
+            match *step {
+                MultiCoreStep::Switch(core) => mem.set_active_core(core),
+                MultiCoreStep::Core(Step::CoreRead(a)) => { mem.core_read(now, a, 8); }
+                MultiCoreStep::Core(Step::CoreWrite(a)) => { mem.core_write(now, a, 8); }
+                MultiCoreStep::Core(Step::Ifetch(a)) => { mem.instr_fetch(now, a); }
+                MultiCoreStep::Core(Step::DmaWrite(slot, len)) => {
+                    mem.dma_write(now, layout::mbuf_addr(slot), len as u64);
+                }
+                MultiCoreStep::Core(Step::DmaRead(slot, len)) => {
+                    mem.dma_read(now, layout::mbuf_addr(slot), len as u64);
+                }
+                MultiCoreStep::ControlWrite(slot) => {
+                    mem.dma_write_control(now, layout::rx_desc_addr(slot, 64), 16);
+                }
+            }
+            mem.verify_inclusion().map_err(TestCaseError::fail)?;
+        }
     }
 
     /// Completion times are monotone: an access issued later never
