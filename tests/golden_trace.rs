@@ -8,12 +8,16 @@
 //! SIMNET_UPDATE_GOLDEN=1 cargo test -q --test golden_trace
 //! ```
 
-use simnet::harness::summary::Phases;
+use simnet::harness::summary::{run_phases, Phases};
 use simnet::harness::tracerun::TracedRun;
-use simnet::harness::{run_traced, run_traced_with, AppSpec, RunConfig, SystemConfig, TraceOpts};
+use simnet::harness::{
+    run_traced, run_traced_with, AppSpec, RunConfig, Simulation, SoftwareClient, SystemConfig,
+    TraceOpts,
+};
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
-use simnet::sim::trace::{trace_hash, Component};
+use simnet::sim::trace::{canonical_text, trace_hash, Component};
+use simnet::stack::DpdkStack;
 
 /// A short, light TestPMD point: no warm-up, a 250 µs window (the link's
 /// one-way latency is 100 µs, so the window must cover inject → arrival →
@@ -149,6 +153,34 @@ fn mq_memcached_point() -> TracedRun {
         1 << 18,
         Component::ALL_MASK,
     )
+}
+
+/// The dual-mode golden point (Fig. 1a): the light TestPMD workload of
+/// [`golden_point`], driven by a software client on a fully simulated
+/// Drive Node instead of the hardware load generator, so both nodes'
+/// NIC, memory and stack events and both wire directions are pinned.
+/// Returns the canonical trace text.
+fn dual_point() -> String {
+    let cfg = SystemConfig::gem5();
+    let spec = AppSpec::TestPmd;
+    let (stack, app) = spec.instantiate(cfg.seed);
+    let client = Box::new(SoftwareClient::new(spec.loadgen(&cfg, 1518, 2.0)));
+    let drive_stack = Box::new(DpdkStack::new(cfg.seed ^ 0xD21E));
+    let mut sim = Simulation::dual_mode(&cfg, stack, app, &cfg, drive_stack, client);
+    sim.enable_trace(1 << 16, Component::ALL_MASK);
+    run_phases(
+        &mut sim,
+        Phases {
+            warmup: 0,
+            measure: us(250),
+        },
+    );
+    assert_eq!(
+        sim.tracer().evicted(),
+        0,
+        "dual golden trace must fit the ring"
+    );
+    canonical_text(&sim.take_trace())
 }
 
 #[test]
@@ -408,6 +440,34 @@ fn mq_memcached_trace_matches_committed_golden_file() {
          cargo test --test golden_trace"
     );
     assert_eq!(mq_memcached_point().canonical_text(), golden);
+}
+
+/// The dual-mode golden: the node-to-node wire in both directions, the
+/// Drive Node's software client and the test node's echo, byte for
+/// byte.
+#[test]
+fn dual_trace_matches_committed_golden_file() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/dual_testpmd.trace"
+    );
+    let text = dual_point();
+
+    if std::env::var_os("SIMNET_UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
+        std::fs::write(path, &text).unwrap();
+        return;
+    }
+
+    let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!("cannot read {path}: {e}; run with SIMNET_UPDATE_GOLDEN=1 to create it")
+    });
+    assert_eq!(
+        text, golden,
+        "dual-mode trace diverged from the golden file; if the change is \
+         intentional, regenerate with SIMNET_UPDATE_GOLDEN=1 cargo test --test golden_trace"
+    );
+    assert_eq!(dual_point(), golden);
 }
 
 #[test]
