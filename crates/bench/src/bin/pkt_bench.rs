@@ -7,13 +7,8 @@
 //! pkt_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]
 //! ```
 //!
-//! * `--scale F` multiplies iteration counts (CI smoke uses 0.2).
-//! * `--out FILE` writes the measured JSON.
-//! * `--check BASELINE` compares the measured pooled-vs-vec *speedup
-//!   ratio* per scenario against the committed baseline and exits
-//!   non-zero if any scenario regressed by more than `--max-regress`
-//!   percent (default 20). Ratios, not absolute nanoseconds, so the
-//!   check is meaningful across host machines.
+//! The flags are the shared layer-bench flags (see `simnet_bench`);
+//! `--check` compares the pooled-vs-vec speedup per scenario.
 //!
 //! The workloads mirror the simulator's real per-packet life cycle: an
 //! allocate-touch-free churn (loadgen builds, NIC consumes), a clone
@@ -24,6 +19,7 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use simnet_bench::{finish, median, Args};
 use simnet_harness::{run_point, AppSpec, RunConfig, SystemConfig};
 use simnet_net::Packet;
 
@@ -156,11 +152,6 @@ fn time_pair_ns_per_pkt(
     (median(&mut pooled_reps), median(&mut vec_reps))
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_unstable_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 struct Scenario {
     name: &'static str,
     pooled_ns: f64,
@@ -173,8 +164,8 @@ impl Scenario {
     }
 }
 
-fn run_scenarios(scale: f64) -> Vec<Scenario> {
-    let s = |n: u64| ((n as f64 * scale).round() as u64).max(1);
+fn run_scenarios(args: &Args) -> Vec<Scenario> {
+    let s = |n: u64| args.scaled(n);
     let mut out = Vec::new();
 
     // Scenario 1: allocation churn on full-size frames.
@@ -290,82 +281,14 @@ fn fmt_json(scenarios: &[Scenario], e2e: (f64, u64, f64), scale: f64) -> String 
     out
 }
 
-/// Pulls `"name": ..., "speedup": ...` pairs out of a baseline JSON.
-/// Hand-rolled (no serde in the workspace), tied to our own writer.
-fn parse_baseline_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = &rest[..name_end];
-        let Some(sp_at) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let sp_rest = &line[sp_at + 11..];
-        let digits: String = sp_rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(speedup) = digits.parse::<f64>() {
-            out.push((name.to_string(), speedup));
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
-    let mut scale = 1.0f64;
-    let mut out_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut max_regress = 20.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => scale = v,
-                _ => {
-                    eprintln!("--scale requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match args.next() {
-                Some(p) => out_path = Some(p),
-                None => {
-                    eprintln!("--out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(p) => check_path = Some(p),
-                None => {
-                    eprintln!("--check requires a baseline file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-regress" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 => max_regress = v,
-                _ => {
-                    eprintln!("--max-regress requires a positive percentage");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!(
-                    "unknown argument {other}\n\
-                     usage: pkt_bench [--scale F] [--out FILE] [--check BASELINE] [--max-regress PCT]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some(args) = Args::from_env("pkt_bench") else {
+        return ExitCode::FAILURE;
+    };
+    let scale = args.scale;
 
     println!("packet-pool bench (scale {scale}):");
-    let scenarios = run_scenarios(scale);
+    let scenarios = run_scenarios(&args);
     for sc in &scenarios {
         println!(
             "  {:<24} pooled {:>7.2} ns/pkt   vec {:>7.2} ns/pkt   speedup {:.2}x",
@@ -382,51 +305,6 @@ fn main() -> ExitCode {
     );
 
     let json = fmt_json(&scenarios, e2e, scale);
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &check_path {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: could not read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let base = parse_baseline_speedups(&baseline);
-        if base.is_empty() {
-            eprintln!("error: no speedup entries found in baseline {path}");
-            return ExitCode::FAILURE;
-        }
-        let mut failed = false;
-        for (name, base_speedup) in &base {
-            let Some(sc) = scenarios.iter().find(|s| s.name == name) else {
-                eprintln!("warning: baseline scenario {name} not measured; skipping");
-                continue;
-            };
-            let floor = base_speedup / (1.0 + max_regress / 100.0);
-            let status = if sc.speedup() < floor {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "  check {name}: speedup {:.2}x vs baseline {:.2}x (floor {:.2}x) {status}",
-                sc.speedup(),
-                base_speedup,
-                floor
-            );
-        }
-        if failed {
-            eprintln!("error: pooled-packet speedup regressed more than {max_regress}% vs {path}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let measured: Vec<_> = scenarios.iter().map(|s| (s.name, s.speedup())).collect();
+    finish(&args, &json, &measured, "pooled-packet speedup")
 }

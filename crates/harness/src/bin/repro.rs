@@ -58,6 +58,7 @@ use std::process::ExitCode;
 use simnet_harness::config::TopoConfig;
 use simnet_harness::experiments::{self, Effort, ExperimentOutput};
 use simnet_harness::{run_observed, AppSpec, ObserveOpts, RunConfig, SystemConfig};
+use simnet_net::{MAX_FRAME_LEN, MIN_FRAME_LEN};
 use simnet_sim::fault::FaultInjector;
 use simnet_sim::fault::FaultPlan;
 use simnet_sim::tick;
@@ -382,7 +383,9 @@ fn main() -> ExitCode {
                 }
             },
             "--trace-gbps" => match args.next().and_then(|g| g.parse::<f64>().ok()) {
-                Some(g) if g.is_finite() && g > 0.0 => trace_gbps = g,
+                // The load becomes a bandwidth in bits per second, which
+                // must itself be finite.
+                Some(g) if g > 0.0 && (g * 1e9).is_finite() => trace_gbps = g,
                 _ => {
                     eprintln!("--trace-gbps requires a positive, finite offered load in Gbps");
                     return ExitCode::FAILURE;
@@ -411,9 +414,11 @@ fn main() -> ExitCode {
                 }
             },
             "--frame" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if (64..=9000).contains(&n) => frame = n,
+                Some(n) if (MIN_FRAME_LEN..=MAX_FRAME_LEN).contains(&n) => frame = n,
                 _ => {
-                    eprintln!("--frame requires a frame size in bytes (64..=9000)");
+                    eprintln!(
+                        "--frame requires a frame size in bytes ({MIN_FRAME_LEN}..={MAX_FRAME_LEN})"
+                    );
                     return ExitCode::FAILURE;
                 }
             },

@@ -345,15 +345,7 @@ pub fn run_dual_point(
     }
     let client_app = Box::new(crate::client_app::SoftwareClient::new(client_gen));
     let drive_stack: Box<dyn NetworkStack> = Box::new(DpdkStack::new(cfg.seed ^ 0xD21E));
-    let drive_cfg = *cfg;
-    let mut sim = Simulation::dual_mode(
-        cfg,
-        server_stack,
-        server_app,
-        &drive_cfg,
-        drive_stack,
-        client_app,
-    );
+    let mut sim = Simulation::dual_mode(cfg, server_stack, server_app, drive_stack, client_app);
     add_workers(&mut sim, cfg, spec);
     run_phases(&mut sim, rc.phases)
 }

@@ -16,7 +16,7 @@ use simnet_net::burst::{Burst, BURST_INLINE};
 use simnet_net::pcap::PcapWriter;
 use simnet_net::topo::{Switch, TopoLink, Topology, Verdict};
 use simnet_net::Packet;
-use simnet_nic::{EtherLink, Nic};
+use simnet_nic::Nic;
 use simnet_pci::devbind::DevBind;
 use simnet_sim::fault::FaultInjector;
 use simnet_sim::stats::{ColumnSpec, Counter, Profiler, SampleValue, StatsRegistry, TimeSeries};
@@ -152,14 +152,15 @@ impl Coalescer {
 /// The instantiated network fabric between the traffic source(s) and the
 /// test node: executable [`TopoLink`]s plus, for fan-in topologies, a
 /// MAC-forwarding [`Switch`]. The degenerate point-to-point fabric is
-/// exactly one pure wire per direction, whose arrival arithmetic is
-/// tick-identical to the `EtherLink` pair it replaced — the legacy
-/// schedule is the 2-node/1-link special case, byte for byte.
+/// exactly one pure wire per direction, shared by loadgen mode (Fig. 1b)
+/// and dual mode (Fig. 1a).
 struct Fabric {
     /// Per-client uplinks toward the switch — or, degenerate, the single
-    /// loadgen→host wire at index 0.
+    /// traffic-source→host wire at index 0 (the load generator or the
+    /// Drive Node).
     uplinks: Vec<TopoLink>,
-    /// Per-client downlinks from the switch (degenerate: host→loadgen).
+    /// Per-client downlinks from the switch (degenerate: host→traffic
+    /// source).
     downlinks: Vec<TopoLink>,
     /// Switch→host trunk (fan-in topologies only).
     trunk_up: Option<TopoLink>,
@@ -381,8 +382,6 @@ pub struct Node {
     /// Additional worker lcores (lcore `i + 1` is `workers[i]`); empty
     /// in the single-core legacy configuration.
     pub workers: Vec<Worker>,
-    /// Link from this node toward its peer (NIC TX side).
-    out_link: EtherLink,
     /// Per-lcore software-iteration scheduling flags.
     sw_scheduled: Vec<bool>,
     sw_waiting: Vec<bool>,
@@ -429,7 +428,6 @@ impl Node {
             stack,
             app,
             workers: Vec::new(),
-            out_link: EtherLink::new(cfg.link_bandwidth, cfg.link_latency),
             sw_scheduled: vec![false],
             sw_waiting: vec![false],
             rx_dma_scheduled: vec![false; nq],
@@ -511,10 +509,10 @@ pub struct Simulation {
     /// The hardware load generator (absent in dual-mode and topology
     /// mode).
     pub loadgen: Option<EtherLoadGen>,
-    /// The instantiated topology between traffic sources and the test
-    /// node (present in loadgen mode — degenerate — and topology mode;
-    /// absent in dual-mode, which keeps the node-to-node `EtherLink`s).
-    fabric: Option<Fabric>,
+    /// The instantiated topology between the traffic source(s) and the
+    /// test node: degenerate in loadgen and dual mode, fan-in in
+    /// topology mode.
+    fabric: Fabric,
     /// The client fleet driving a fan-in topology (topology mode only).
     fleet: Option<ClientFleet>,
     loadgen_tx_scheduled: bool,
@@ -546,67 +544,24 @@ impl Simulation {
         app: Box<dyn PacketApp>,
         loadgen: EtherLoadGen,
     ) -> Self {
-        // Packet-pool counters describe one simulation; earlier runs on
-        // this worker thread must not leak into this run's stats.
-        simnet_net::pool::reset_stats();
-        Self {
-            queue: EventQueue::new(),
-            burst_size: BURST_INLINE,
-            coalescers: vec![
-                Coalescer::new(BurstSink::Nic { node: 0 }),
-                Coalescer::new(BurstSink::LoadGen),
-            ],
-            burst_stats: BurstStats::default(),
-            nodes: vec![Node::new(cfg, stack, app)],
-            loadgen: Some(loadgen),
-            fabric: Some(Fabric::point_to_point(cfg)),
-            fleet: None,
-            loadgen_tx_scheduled: false,
-            capture: None,
-            started: false,
-            tracer: Tracer::disabled(),
-            faults: FaultInjector::disabled(),
-            probe_interval: tick::us(10),
-            sampler: None,
-            profiler: None,
-        }
+        let fabric = Fabric::point_to_point(cfg);
+        Self::assemble(cfg, vec![(stack, app)], Some(loadgen), fabric, None)
     }
 
     /// Builds a dual-mode simulation (Fig. 1a): a Drive Node running a
-    /// software load-generator application, linked to the test node.
+    /// software load-generator application, linked to the test node by
+    /// the same point-to-point wire pair as loadgen mode. Both nodes are
+    /// built from `cfg`.
     pub fn dual_mode(
-        test_cfg: &SystemConfig,
+        cfg: &SystemConfig,
         test_stack: Box<dyn NetworkStack>,
         test_app: Box<dyn PacketApp>,
-        drive_cfg: &SystemConfig,
         drive_stack: Box<dyn NetworkStack>,
         drive_app: Box<dyn PacketApp>,
     ) -> Self {
-        simnet_net::pool::reset_stats();
-        Self {
-            queue: EventQueue::new(),
-            burst_size: BURST_INLINE,
-            coalescers: vec![
-                Coalescer::new(BurstSink::Nic { node: 0 }),
-                Coalescer::new(BurstSink::Nic { node: 1 }),
-            ],
-            burst_stats: BurstStats::default(),
-            nodes: vec![
-                Node::new(test_cfg, test_stack, test_app),
-                Node::new(drive_cfg, drive_stack, drive_app),
-            ],
-            loadgen: None,
-            fabric: None,
-            fleet: None,
-            loadgen_tx_scheduled: false,
-            capture: None,
-            started: false,
-            tracer: Tracer::disabled(),
-            faults: FaultInjector::disabled(),
-            probe_interval: tick::us(10),
-            sampler: None,
-            profiler: None,
-        }
+        let fabric = Fabric::point_to_point(cfg);
+        let nodes = vec![(test_stack, test_app), (drive_stack, drive_app)];
+        Self::assemble(cfg, nodes, None, fabric, None)
     }
 
     /// Builds a topology-mode simulation: a [`ClientFleet`] of endpoints
@@ -627,17 +582,42 @@ impl Simulation {
             cfg.topo.clients,
             "fleet size must match the configured topology"
         );
-        simnet_net::pool::reset_stats();
         let fabric = Fabric::incast(cfg, &fleet);
+        Self::assemble(cfg, vec![(stack, app)], None, fabric, Some(fleet))
+    }
+
+    /// The assembler behind the three constructors. Node 0 is the test
+    /// node; each wire direction that delivers to a node or to the load
+    /// generator gets one coalescer.
+    fn assemble(
+        cfg: &SystemConfig,
+        nodes: Vec<(Box<dyn NetworkStack>, Box<dyn PacketApp>)>,
+        loadgen: Option<EtherLoadGen>,
+        fabric: Fabric,
+        fleet: Option<ClientFleet>,
+    ) -> Self {
+        // Packet-pool counters describe one simulation; earlier runs on
+        // this worker thread must not leak into this run's stats.
+        simnet_net::pool::reset_stats();
+        let mut coalescers = vec![Coalescer::new(BurstSink::Nic { node: 0 })];
+        if loadgen.is_some() {
+            coalescers.push(Coalescer::new(BurstSink::LoadGen));
+        }
+        if nodes.len() > 1 {
+            coalescers.push(Coalescer::new(BurstSink::Nic { node: 1 }));
+        }
         Self {
             queue: EventQueue::new(),
             burst_size: BURST_INLINE,
-            coalescers: vec![Coalescer::new(BurstSink::Nic { node: 0 })],
+            coalescers,
             burst_stats: BurstStats::default(),
-            nodes: vec![Node::new(cfg, stack, app)],
-            loadgen: None,
-            fabric: Some(fabric),
-            fleet: Some(fleet),
+            nodes: nodes
+                .into_iter()
+                .map(|(stack, app)| Node::new(cfg, stack, app))
+                .collect(),
+            loadgen,
+            fabric,
+            fleet,
             loadgen_tx_scheduled: false,
             capture: None,
             started: false,
@@ -1109,14 +1089,11 @@ impl Simulation {
                 w.core.reset_stats();
                 w.stack.reset_stats();
             }
-            node.out_link.reset_stats();
         }
         if let Some(lg) = &mut self.loadgen {
             lg.reset_stats();
         }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.reset_stats();
-        }
+        self.fabric.reset_stats();
         if let Some(fleet) = &mut self.fleet {
             fleet.reset_stats();
         }
@@ -1154,10 +1131,9 @@ impl Simulation {
                 len: packet.len() as u32,
             },
         );
-        let fabric = self.fabric.as_mut().expect("loadgen mode has a fabric");
         // The degenerate uplink is statically a pure wire (no queue, no
         // loss), so the Verdict fast path skips the policy dispatch.
-        let arrival = fabric.uplinks[0].transmit_wire(now, packet.len());
+        let arrival = self.fabric.uplinks[0].transmit_wire(now, packet.len());
         self.coalesce_delivery(BurstSink::Nic { node: 0 }, arrival, packet);
         let lg = self.loadgen.as_mut().expect("checked above");
         if let Some(next) = lg.next_departure(now) {
@@ -1343,8 +1319,8 @@ impl Simulation {
         // Fabric gauges come first: trunk occupancy needs `&mut` (it
         // retires serialized frames), which must not overlap the sampler
         // borrow below.
-        let topo_queue = self.fabric.as_mut().map_or(0, |f| f.trunk_occupancy(now)) as u64;
-        let topo_drops_cum = self.fabric.as_ref().map_or(0, |f| f.drops_total());
+        let topo_queue = self.fabric.trunk_occupancy(now) as u64;
+        let topo_drops_cum = self.fabric.drops_total();
         let Some(sampler) = &mut self.sampler else {
             return;
         };
@@ -1450,18 +1426,9 @@ impl Simulation {
                     len: packet.len() as u32,
                 },
             );
-            if self.loadgen.is_some() && node == 0 {
-                // Degenerate topology: the host→loadgen pure wire takes
-                // the same policy-free fast path as the uplink.
-                Self::tap(&mut self.capture, now, &packet);
-                let fabric = self.fabric.as_mut().expect("loadgen mode has a fabric");
-                let arrival = fabric.downlinks[0].transmit_wire(now, packet.len());
-                self.coalesce_delivery(BurstSink::LoadGen, arrival, packet);
-            } else if self.fleet.is_some() && node == 0 {
+            Self::tap(&mut self.capture, now, &packet);
+            if let Some(trunk) = &mut self.fabric.trunk_down {
                 // Fan-in topology: host→switch trunk, then MAC forwarding.
-                Self::tap(&mut self.capture, now, &packet);
-                let fabric = self.fabric.as_mut().expect("topology mode has a fabric");
-                let trunk = fabric.trunk_down.as_mut().expect("fan-in has a trunk");
                 if let Verdict::Deliver(arrival) = trunk.transmit(now, packet.len()) {
                     self.queue.schedule_with_priority(
                         arrival,
@@ -1470,9 +1437,16 @@ impl Simulation {
                     );
                 }
             } else {
-                let peer = 1 - node;
-                let arrival = self.nodes[node].out_link.transmit(now, packet.len());
-                self.coalesce_delivery(BurstSink::Nic { node: peer }, arrival, packet);
+                // Degenerate topology: the test node sends on the
+                // downlink and the Drive Node on the uplink, both pure
+                // wires on the policy-free fast path.
+                let (link, sink) = match (node, self.loadgen.is_some()) {
+                    (0, true) => (&mut self.fabric.downlinks[0], BurstSink::LoadGen),
+                    (0, false) => (&mut self.fabric.downlinks[0], BurstSink::Nic { node: 1 }),
+                    _ => (&mut self.fabric.uplinks[0], BurstSink::Nic { node: 0 }),
+                };
+                let arrival = link.transmit_wire(now, packet.len());
+                self.coalesce_delivery(sink, arrival, packet);
             }
         }
         let n = &mut self.nodes[node];
@@ -1501,8 +1475,7 @@ impl Simulation {
                 len: packet.len() as u32,
             },
         );
-        let fabric = self.fabric.as_mut().expect("topology mode has a fabric");
-        if let Verdict::Deliver(arrival) = fabric.uplinks[client].transmit(now, packet.len()) {
+        if let Verdict::Deliver(arrival) = self.fabric.uplinks[client].transmit(now, packet.len()) {
             self.queue
                 .schedule_with_priority(arrival, Priority::LINK, Ev::SwitchRx { packet });
         }
@@ -1517,7 +1490,7 @@ impl Simulation {
     /// trunk (toward the host) or a client downlink. Unroutable frames
     /// are counted and dropped.
     fn handle_switch_rx(&mut self, now: Tick, packet: Packet) {
-        let fabric = self.fabric.as_mut().expect("switch events imply a fabric");
+        let fabric = &mut self.fabric;
         let port = packet
             .ethernet()
             .and_then(|eth| fabric.switch.route(eth.dst));
@@ -1569,7 +1542,7 @@ impl Simulation {
     /// whose wire belongs to the frozen legacy stats surface and must
     /// not grow new keys.
     pub fn register_topo_stats(&self, reg: &mut StatsRegistry) {
-        let Some(fabric) = &self.fabric else { return };
+        let fabric = &self.fabric;
         if fabric.is_degenerate() {
             return;
         }
@@ -1659,7 +1632,7 @@ impl std::fmt::Debug for Simulation {
         f.debug_struct("Simulation")
             .field("now", &self.queue.now())
             .field("nodes", &self.nodes.len())
-            .field("dual_mode", &self.loadgen.is_none())
+            .field("dual_mode", &(self.nodes.len() == 2))
             .finish()
     }
 }
@@ -1700,6 +1673,13 @@ mod tests {
             burst.push(t, seq, Packet::zeroed(t, 64));
         }
         burst
+    }
+
+    #[test]
+    fn debug_names_dual_mode_by_node_count() {
+        let cfg = SystemConfig::gem5().with_topo(crate::config::TopoConfig::incast(2));
+        let sim = crate::msb::build_topo_sim(&cfg, &AppSpec::TestPmd, 1518, 2.0);
+        assert!(format!("{sim:?}").contains("dual_mode: false"), "{sim:?}");
     }
 
     #[test]

@@ -45,6 +45,22 @@ fn nan_trace_gbps_is_rejected() {
     assert_rejected(&["--trace-gbps", "nan", "--profile"], "--trace-gbps");
 }
 
+/// 1e300 Gbps is finite, but as bits per second it overflows to
+/// infinity, which no bandwidth can hold.
+#[test]
+fn unrepresentable_trace_gbps_is_rejected() {
+    assert_rejected(&["--trace-gbps", "1e300", "--profile"], "--trace-gbps");
+}
+
+/// Frames longer than the model's maximum Ethernet frame are refused by
+/// the parser, not by an assertion in the packet builder.
+#[test]
+fn oversized_frame_is_rejected() {
+    for frame in ["4000", "9000"] {
+        assert_rejected(&["--frame", frame, "--profile"], "--frame");
+    }
+}
+
 #[test]
 fn removed_threads_flag_is_unknown() {
     assert_rejected(&["--threads", "2", "--profile"], "--threads");

@@ -291,7 +291,10 @@ impl PacketBuilder {
             total >= natural,
             "frame_len {total} cannot hold {header_len}B headers + {payload_len}B payload"
         );
-        assert!(total <= MAX_FRAME_LEN, "frame_len {total} exceeds 1518");
+        assert!(
+            total <= MAX_FRAME_LEN,
+            "frame_len {total} exceeds {MAX_FRAME_LEN}"
+        );
 
         // Straight into pooled storage: building a frame costs no heap
         // allocation on the hot path.

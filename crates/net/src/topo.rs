@@ -14,12 +14,14 @@
 //! * the *description*: [`Topology`], a validated graph of named
 //!   [`NodeKind`]s and [`LinkPolicy`]-annotated edges that a harness
 //!   instantiates into an event schedule;
-//! * the *mechanism*: [`TopoLink`], the executable link whose pure-wire
-//!   arithmetic is tick-identical to `simnet_nic::EtherLink` (`start =
-//!   max(now, busy_until); done = start + bytes_to_ticks(len + 20);
-//!   arrival = done + latency`), so the degenerate two-node/one-link
-//!   topology reproduces the legacy point-to-point schedule byte for
-//!   byte, and [`Switch`], the MAC-table forwarder.
+//! * the *mechanism*: [`TopoLink`], the executable link, and [`Switch`],
+//!   the MAC-table forwarder. A pure-wire link serializes each frame
+//!   behind the previous one and then propagates it:
+//!   `start = max(now, busy_until)`,
+//!   `done = start + bytes_to_ticks(len + 20)` and
+//!   `arrival = done + latency`, where the 20 bytes are the preamble and
+//!   inter-frame gap. The degenerate two-node/one-link topology is the
+//!   paper's point-to-point wire, used by both loadgen and dual mode.
 //!
 //! Drops never vanish: every [`TopoLink::transmit`] outcome is counted
 //! (`offered == frames + tail_drops + loss_drops`), which is the
@@ -49,8 +51,8 @@ pub struct LinkPolicy {
 }
 
 impl LinkPolicy {
-    /// A pure wire: serialize + propagate, never drop. Tick-identical to
-    /// `EtherLink` — this is the degenerate-topology policy.
+    /// A pure wire: serialize + propagate, never drop. This is the
+    /// degenerate-topology policy.
     pub fn wire(bandwidth: Bandwidth, latency: Tick) -> Self {
         LinkPolicy {
             bandwidth,
@@ -91,10 +93,19 @@ pub enum Verdict {
 
 /// One directed link executing a [`LinkPolicy`].
 ///
-/// With the [`LinkPolicy::wire`] policy, `transmit` computes exactly the
-/// `EtherLink` arrival tick — same serialization overhead, same busy
-/// horizon — which is what keeps the degenerate topology byte-identical
-/// to the legacy point-to-point harness path.
+/// With the [`LinkPolicy::wire`] policy, `transmit` serializes the frame
+/// plus [`WIRE_OVERHEAD`] bytes at the line rate, starting at `now` or
+/// when the previous frame finishes (the busy horizon), whichever is
+/// later, and the frame arrives one propagation latency after its
+/// serialization ends.
+///
+/// ```
+/// use simnet_net::topo::{LinkPolicy, TopoLink};
+/// use simnet_sim::tick::{us, Bandwidth};
+/// let mut link = TopoLink::new(LinkPolicy::wire(Bandwidth::gbps(100.0), us(100)), 0);
+/// // (1518 + 20) bytes at 100 Gbps = 123.04 ns, plus 100 µs propagation.
+/// assert_eq!(link.transmit_wire(0, 1518), 123_040 + us(100));
+/// ```
 #[derive(Debug)]
 pub struct TopoLink {
     policy: LinkPolicy,
@@ -171,7 +182,7 @@ impl TopoLink {
 
     /// Offers a frame of `frame_len` bytes at `now`. Queue admission is
     /// checked first (tail-drop), then the loss draw, then the frame
-    /// serializes behind the busy horizon exactly like `EtherLink`.
+    /// serializes behind the busy horizon and propagates.
     pub fn transmit(&mut self, now: Tick, frame_len: usize) -> Verdict {
         self.offered.inc();
         if let Some(bound) = self.policy.queue_frames {
@@ -218,8 +229,7 @@ impl TopoLink {
         self.busy_until
     }
 
-    /// Clears statistics; the busy horizon and queued frames persist
-    /// (mirrors `EtherLink::reset_stats`).
+    /// Clears statistics; the busy horizon and queued frames persist.
     pub fn reset_stats(&mut self) {
         self.offered.reset();
         self.frames.reset();
@@ -425,9 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn pure_wire_matches_etherlink_arithmetic() {
-        // The EtherLink doctest values: (1518 + 20) B at 100 Gbps =
-        // 123.04 ns serialization, plus propagation.
+    fn pure_wire_serializes_with_overhead_then_propagates() {
+        // (1518 + 20) B at 100 Gbps = 123.04 ns serialization, plus
+        // propagation.
         let mut link = wire(100.0, us(100));
         assert_eq!(link.transmit(0, 1518), Verdict::Deliver(123_040 + us(100)));
         // (64 + 20) B at 10 Gbps = 67.2 ns.
@@ -471,6 +481,19 @@ mod tests {
             !TopoLink::new(LinkPolicy::wire(Bandwidth::gbps(10.0), 0).with_loss(1), 7)
                 .is_pure_wire()
         );
+    }
+
+    #[test]
+    fn line_rate_caps_throughput() {
+        let mut link = wire(100.0, 0);
+        let n = 1000u64;
+        let mut last = 0;
+        for _ in 0..n {
+            last = link.transmit_wire(0, 1518);
+        }
+        let gbps = Bandwidth::measured_gbps(1518 * n, last);
+        assert!(gbps < 100.0);
+        assert!(gbps > 95.0, "goodput {gbps}");
     }
 
     #[test]

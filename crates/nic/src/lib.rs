@@ -21,12 +21,10 @@ pub mod config;
 pub mod drop_fsm;
 pub mod fifo;
 pub mod i8254x;
-pub mod link;
 pub mod regs;
 
 pub use config::NicConfig;
 pub use drop_fsm::{DropFsm, DropKind};
 pub use fifo::ByteFifo;
 pub use i8254x::{Nic, RxCompletion};
-pub use link::EtherLink;
 pub use regs::{NicCompatMode, RegisterFile};

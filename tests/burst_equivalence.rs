@@ -61,14 +61,7 @@ fn run_dual(burst: usize, size: usize, gbps: f64, plan: &str, phases: Phases) ->
         let client_app = Box::new(SoftwareClient::new(client_gen));
         let drive_stack: Box<dyn simnet::stack::NetworkStack> =
             Box::new(simnet::stack::DpdkStack::new(cfg.seed ^ 0xD21E));
-        Simulation::dual_mode(
-            &cfg,
-            server_stack,
-            server_app,
-            &cfg,
-            drive_stack,
-            client_app,
-        )
+        Simulation::dual_mode(&cfg, server_stack, server_app, drive_stack, client_app)
     })
 }
 

@@ -166,7 +166,7 @@ fn dual_point() -> String {
     let (stack, app) = spec.instantiate(cfg.seed);
     let client = Box::new(SoftwareClient::new(spec.loadgen(&cfg, 1518, 2.0)));
     let drive_stack = Box::new(DpdkStack::new(cfg.seed ^ 0xD21E));
-    let mut sim = Simulation::dual_mode(&cfg, stack, app, &cfg, drive_stack, client);
+    let mut sim = Simulation::dual_mode(&cfg, stack, app, drive_stack, client);
     sim.enable_trace(1 << 16, Component::ALL_MASK);
     run_phases(
         &mut sim,

@@ -12,9 +12,13 @@
 //! determinism, burst invariance, and conservation checks: the per-queue
 //! FIFOs and per-lcore schedules are a pure function of the seed.
 
+mod ledger;
+
 use proptest::prelude::*;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text_all, AppSpec, Simulation, SystemConfig};
+use simnet::harness::{
+    build_loadgen_sim, run_point, stats_text_all, AppSpec, RunConfig, Simulation, SystemConfig,
+};
 use simnet::net::pool;
 use simnet::sim::fault::{FaultInjector, FaultPlan};
 use simnet::sim::tick::us;
@@ -215,6 +219,34 @@ fn sharded_memcached_uses_every_queue_and_replays_identically() {
             "stats dump missing per-lcore block {needle}"
         );
     }
+}
+
+/// The committed multi-queue scaling ledger: memcached-DPDK offered
+/// 3200 kRPS, past every configuration's knee, at (1,1), (2,2) and
+/// (4,4) queues × lcores. The achieved rate is a pure function of the
+/// seed and config, so each row must equal `BENCH_mq.json` to the
+/// printed digit, and four lcores must hold at least 1.5× the
+/// single-lcore rate.
+#[test]
+fn memcached_scaling_matches_the_committed_ledger() {
+    let mut krps = Vec::new();
+    for n in [1usize, 2, 4] {
+        let cfg = SystemConfig::gem5().with_queues(n).with_lcores(n);
+        let s = run_point(&cfg, &AppSpec::MemcachedDpdk, 0, 3_200.0, RunConfig::long());
+        let name = format!("mc_dpdk_{n}q{n}l");
+        let got = s.achieved_rps() / 1e3;
+        assert_eq!(
+            format!("{got:.1}"),
+            ledger::krps("BENCH_mq.json", &name),
+            "{name}: achieved kRPS differs from BENCH_mq.json"
+        );
+        krps.push(got);
+    }
+    let speedup = krps[2] / krps[0];
+    assert!(
+        speedup >= 1.5,
+        "4q4l holds {speedup:.2}x the 1q1l rate, below the 1.5x floor"
+    );
 }
 
 proptest! {

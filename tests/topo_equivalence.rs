@@ -3,22 +3,26 @@
 //! be observationally indistinguishable from the default assembly —
 //! byte-identical traces, full stats dumps, event counts, and
 //! throughput bits — and the pure-wire [`TopoLink`] must compute the
-//! exact `EtherLink` arrival tick on any offer schedule. (The committed
-//! goldens in `tests/golden/` separately pin the degenerate schedule
-//! against the pre-topology history.)
+//! closed-form serialize-then-propagate arrival tick on any offer
+//! schedule. (The committed goldens in `tests/golden/` separately pin
+//! the degenerate schedule against the pre-topology history.)
 //!
 //! Incast runs themselves (`clients > 1`) are covered by replay
 //! determinism, burst invariance, and the per-link drop/queue stats the
 //! full dump must expose.
 
+mod ledger;
+
 use proptest::prelude::*;
 use simnet::harness::config::TopoConfig;
 use simnet::harness::summary::{run_phases, Phases};
-use simnet::harness::{build_loadgen_sim, stats_text_all, AppSpec, Simulation, SystemConfig};
+use simnet::harness::{
+    build_loadgen_sim, run_point, stats_text_all, AppSpec, RunConfig, Simulation, SystemConfig,
+};
+use simnet::net::ethernet::WIRE_OVERHEAD;
 use simnet::net::pool;
 use simnet::net::topo::{LinkPolicy, TopoLink, Verdict};
-use simnet::nic::EtherLink;
-use simnet::sim::tick::{ns, us, Bandwidth};
+use simnet::sim::tick::{ns, us, Bandwidth, Tick};
 use simnet::sim::trace::{canonical_text, trace_hash, Component};
 
 /// Everything observable about one run, serialized for comparison.
@@ -199,34 +203,90 @@ fn incast_stats_expose_the_per_link_ledger() {
     assert_ne!(obs.drop_rate_bits, 0f64.to_bits(), "clients saw no drops");
 }
 
+/// The committed fan-in ledger: TestPMD offered 120 Gbps of 1518 B
+/// frames, past the host's knee, through the point-to-point wire and
+/// through 4- and 8-client incast fabrics with a 10 µs latency spread.
+/// The achieved rate is a pure function of the seed and config, so each
+/// row must equal `BENCH_topo.json` to the printed digit, and eight
+/// clients must hold at least 0.8× the point-to-point rate.
+#[test]
+fn incast_fan_in_matches_the_committed_ledger() {
+    let mut krps = Vec::new();
+    for clients in [1usize, 4, 8] {
+        let topo = if clients == 1 {
+            TopoConfig::point_to_point()
+        } else {
+            TopoConfig::incast(clients).with_latency_spread(us(10))
+        };
+        let cfg = SystemConfig::gem5().with_topo(topo);
+        let s = run_point(&cfg, &AppSpec::TestPmd, 1518, 120.0, RunConfig::long());
+        let name = format!("topo_incast_{clients}c");
+        let got = s.achieved_rps() / 1e3;
+        assert_eq!(
+            format!("{got:.1}"),
+            ledger::krps("BENCH_topo.json", &name),
+            "{name}: achieved kRPS differs from BENCH_topo.json"
+        );
+        krps.push(got);
+    }
+    let ratio = krps[2] / krps[0];
+    assert!(
+        ratio >= 0.8,
+        "8 clients hold {ratio:.2}x the point-to-point rate, below the 0.8x floor"
+    );
+}
+
+/// The closed-form point-to-point wire every degenerate schedule rests
+/// on: a frame starts serializing when the wire is free, occupies it for
+/// its bytes plus preamble and inter-frame gap, and arrives one
+/// propagation latency later.
+struct ReferenceWire {
+    bw: Bandwidth,
+    latency: Tick,
+    busy: Tick,
+    frames: u64,
+    bytes: u64,
+}
+
+impl ReferenceWire {
+    fn transmit(&mut self, now: Tick, len: usize) -> Tick {
+        let start = now.max(self.busy);
+        let done = start + self.bw.bytes_to_ticks((len + WIRE_OVERHEAD) as u64);
+        self.busy = done;
+        self.frames += 1;
+        self.bytes += len as u64;
+        done + self.latency
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64, ..ProptestConfig::default()
     })]
 
-    /// The pure-wire `TopoLink` computes the exact `EtherLink` arrival
-    /// tick — same serialization overhead, same busy horizon — on any
-    /// offer schedule, which is the arithmetic the byte-identical
-    /// degenerate schedule rests on.
+    /// The pure-wire `TopoLink` computes the reference arrival tick — same
+    /// serialization overhead, same busy horizon — on any offer
+    /// schedule, which is the arithmetic the byte-identical degenerate
+    /// schedule rests on.
     #[test]
-    fn wire_link_is_tick_identical_to_etherlink(
+    fn wire_link_is_tick_identical_to_reference_wire(
         gbps in prop_oneof![Just(10.0f64), Just(40.0), Just(100.0)],
         latency in 0u64..=5_000,
         offers in proptest::collection::vec((0u64..=2_000, 64usize..=1518), 1..100),
         seed in any::<u64>(),
     ) {
         let bw = Bandwidth::gbps(gbps);
-        let mut legacy = EtherLink::new(bw, ns(latency));
+        let mut reference = ReferenceWire { bw, latency: ns(latency), busy: 0, frames: 0, bytes: 0 };
         let mut topo = TopoLink::new(LinkPolicy::wire(bw, ns(latency)), seed);
         let mut now = 0;
         for &(gap, len) in &offers {
             now += ns(gap);
-            let expected = legacy.transmit(now, len);
+            let expected = reference.transmit(now, len);
             let got = topo.transmit(now, len);
             prop_assert_eq!(got, Verdict::Deliver(expected));
         }
-        prop_assert_eq!(topo.frames.value(), legacy.frames.value());
-        prop_assert_eq!(topo.bytes.value(), legacy.bytes.value());
-        prop_assert_eq!(topo.next_free(), legacy.next_free());
+        prop_assert_eq!(topo.frames.value(), reference.frames);
+        prop_assert_eq!(topo.bytes.value(), reference.bytes);
+        prop_assert_eq!(topo.next_free(), reference.busy);
     }
 }
