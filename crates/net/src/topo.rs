@@ -98,14 +98,6 @@ pub enum Verdict {
 /// when the previous frame finishes (the busy horizon), whichever is
 /// later, and the frame arrives one propagation latency after its
 /// serialization ends.
-///
-/// ```
-/// use simnet_net::topo::{LinkPolicy, TopoLink};
-/// use simnet_sim::tick::{us, Bandwidth};
-/// let mut link = TopoLink::new(LinkPolicy::wire(Bandwidth::gbps(100.0), us(100)), 0);
-/// // (1518 + 20) bytes at 100 Gbps = 123.04 ns, plus 100 µs propagation.
-/// assert_eq!(link.transmit_wire(0, 1518), 123_040 + us(100));
-/// ```
 #[derive(Debug)]
 pub struct TopoLink {
     policy: LinkPolicy,
